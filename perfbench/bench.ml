@@ -16,7 +16,6 @@ module Flight = Engine.Flight
 
 let now = Net.Mmsg.now_ns
 let setup_reps = 15
-let slice_s = 0.25
 
 (* ---- small statistics ---- *)
 
@@ -49,45 +48,24 @@ let cpu_s () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
 
-(* The spread of a phase's slice rates, printed beside its metrics: this
-   host's speed can change by 2x within seconds, and a noisy run should
-   show as one. *)
-let print_slices rates =
-  let b = Array.of_list rates in
-  Array.sort compare b;
-  let n = Array.length b in
-  if n > 0 then
-    Printf.printf "slices of %.2fs: n=%d rate min=%.4g q1=%.4g median=%.4g q3=%.4g max=%.4g\n"
-      slice_s n b.(0) b.(n / 4) (median_f b) b.(3 * n / 4) b.(n - 1)
-
 (* Call [step] (which returns the units it completed) for [seconds].
    Metrics are taken over the whole phase: the rate is units over elapsed
    time and the latency quantiles come from every sample.  Under host
    speed changes that last seconds, a whole-phase mean moves smoothly with
-   the share of slow time, where a median of slices flips between the
-   slow and the fast rate. *)
+   the share of slow time, where a median of time slices flips between
+   the slow and the fast rate. *)
 let run_phase ~seconds ~hist step =
   let t_start = now () in
   let stop = t_start + int_of_float (seconds *. 1e9) in
-  let slice_ns = int_of_float (slice_s *. 1e9) in
-  let rates = ref [] in
   Hist.clear hist;
   let c0 = cpu_s () in
-  let s0 = ref t_start and sc = ref 0 and total = ref 0 in
+  let total = ref 0 in
   let t = ref t_start in
   while !t < stop do
-    let k = step () in
-    sc := !sc + k;
-    total := !total + k;
-    t := now ();
-    if !t - !s0 >= slice_ns then begin
-      rates := (fi !sc *. 1e9 /. fi (!t - !s0)) :: !rates;
-      s0 := !t;
-      sc := 0
-    end
+    total := !total + step ();
+    t := now ()
   done;
   let units = max 1 !total in
-  print_slices !rates;
   {
     units = !total;
     rate = fi !total *. 1e9 /. fi (!t - t_start);
@@ -250,7 +228,7 @@ type engine_setup = {
 
 let engine_setup ~config ~batch ~make_spec stream =
   let make () =
-    let eng = Engine_run.create ~stream ~batch in
+    let eng = Engine_run.create ~stream ~batch ~max_flows:config.Pipeline.max_flows in
     let t0 = now () in
     let spec : Workloads.spec = make_spec () in
     let t1 = now () in
@@ -340,6 +318,10 @@ let engine_workload ~workload ~seed ~seconds ~trace =
   (let eng, _, _, _ = setup.make () in
    Engine_run.self_test workload eng);
   let count_ok, counts = if trace then count_pass setup else (true, []) in
+  (* the self-test's and count pass's engines are garbage now: without a
+     compaction, whether they still count in the peak RSS would depend on
+     when the major GC last ran *)
+  Gc.compact ();
   let eng, spec, parse0, setup0 = setup.make () in
   let w = warmup_s seconds in
   let step () = Engine_run.window eng in

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two builds of netdsl on one workload, or measure one build's spread.
 
-    python3 perfbench/compare.py A [B] --workload udp-arq --runs 10 [--seconds 20]
+    python3 perfbench/compare.py A [B] --workload udp-arq --runs 10
 
 A and B are netdsl checkouts (each with perfbench/).  With two, the script
 runs them alternately for --runs pairs, A first in even pairs and B first in
@@ -9,7 +9,8 @@ odd ones, each pair on its own seed, and prints per end-to-end metric each
 side's median and quartiles and how many pairs each side won (ties count
 for neither).  With one, it runs --runs seeds and prints each metric's
 median, quartiles and spread (interquartile range over median) against the
-metric's bound in BENCHMARK.json.
+metric's bound in BENCHMARK.json.  Every run lasts BENCHMARK.json's
+run_seconds, and the seeds are FIRST_SEED, FIRST_SEED + 1, ...
 """
 
 import argparse
@@ -19,6 +20,8 @@ import signal
 import statistics
 import subprocess
 import sys
+
+FIRST_SEED = 1000
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -52,19 +55,17 @@ def main():
     ap.add_argument("checkouts", nargs="+", metavar="CHECKOUT")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=int)
-    ap.add_argument("--first-seed", type=int, default=1000)
     args = ap.parse_args()
     if len(args.checkouts) > 2:
         ap.error("give one or two checkouts")
     spec = json.load(open(os.path.join(args.checkouts[0], "BENCHMARK.json")))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     sides = [os.path.abspath(c) for c in args.checkouts]
     values = {s: {m["name"]: [] for m in metrics} for s in sides}
     failed = {s: [] for s in sides}
     for i in range(args.runs):
-        seed = args.first_seed + i
+        seed = FIRST_SEED + i
         order = sides if i % 2 == 0 else list(reversed(sides))
         for side in order:
             r = run_once(side, args.workload, seed, seconds)

@@ -2,9 +2,11 @@
    [Engine.Slab] into [Pipeline.process_slab_batch], the entry point the
    batched socket server uses, one window at a time.  A virtual clock
    advances one millisecond per window, so timer expiries, evictions and
-   rejects are fixed by the inputs alone.  Every reply is checked as it
-   is emitted, and every silent packet is accounted for against the
-   reference classes of the stream. *)
+   rejects are fixed by the inputs alone.  Before a window runs, the
+   benchmark decides which of its packets must be answered, from the
+   reference classes of the stream and its own model of the flow table
+   and machine ([Ref_flows]); every reply is checked as it is emitted,
+   and every silent packet is accounted for. *)
 
 open Netdsl
 module Pipeline = Engine.Pipeline
@@ -14,7 +16,7 @@ module Slab = Engine.Slab
    [Codec.decode] and the spec's verify predicate, never by the engine. *)
 let cls_decode_reject = 0
 let cls_verify_reject = 1
-let cls_step = 2 (* valid, and a machine event: answered unless the machine refuses *)
+let cls_step = 2 (* valid, and a machine event: answered iff [Ref_flows] accepts it *)
 let cls_pass = 3 (* valid, not a machine event: always answered *)
 
 type stream = {
@@ -22,6 +24,10 @@ type stream = {
   fill : Bytes.t -> int -> int;
       (** write the packet at a position into a slot; returns its length *)
   cls : int -> int;
+  key : int -> int;  (** a [cls_step] position's flow, as a key id below [n_keys] *)
+  event : int -> int;  (** a [cls_step] position's event, numbered as [machine]'s *)
+  n_keys : int;
+  machine : Ref_flows.machine;
   reply_ok : req:Bytes.t -> len:int -> reply:Bytes.t -> rlen:int -> bool;
 }
 
@@ -44,7 +50,9 @@ type t = {
   slab : Slab.t;
   clock : int ref;
   win_pos : int array;
+  expect : bool array;  (** the reference answers the window slot *)
   replied : bool array;
+  model : Ref_flows.t;
   mutable win_n : int;
   mutable pipe : Pipeline.t option;
   chk : Outcome.t;
@@ -62,7 +70,7 @@ type t = {
 
 let now = Net.Mmsg.now_ns
 
-let create ~stream ~batch =
+let create ~stream ~batch ~max_flows =
   {
     stream;
     batch;
@@ -70,7 +78,9 @@ let create ~stream ~batch =
         ~capacity:Pipeline.default_config.Pipeline.ring_capacity ();
     clock = ref 0;
     win_pos = Array.make batch 0;
+    expect = Array.make batch false;
     replied = Array.make batch false;
+    model = Ref_flows.create stream.machine ~max_flows ~n_keys:stream.n_keys;
     win_n = 0;
     pipe = None;
     chk = Outcome.create ();
@@ -97,9 +107,7 @@ let on_reply t i buf len =
   if i < 0 || i >= t.win_n || t.replied.(i) then c.Outcome.stray <- c.Outcome.stray + 1
   else begin
     t.replied.(i) <- true;
-    let cls = t.stream.cls t.win_pos.(i) in
-    if cls = cls_decode_reject || cls = cls_verify_reject then
-      c.Outcome.unexpected <- c.Outcome.unexpected + 1
+    if not t.expect.(i) then c.Outcome.unexpected <- c.Outcome.unexpected + 1
     else if
       t.stream.reply_ok ~req:(Slab.buf t.slab i) ~len:(Slab.len t.slab i) ~reply:buf
         ~rlen:len
@@ -118,10 +126,10 @@ let settle t n =
     (* the step stage counts every verified packet, machine event or not *)
     if cls = cls_step || cls = cls_pass then t.ref_step_pkts <- t.ref_step_pkts + 1;
     if not t.replied.(j) then begin
-      if cls = cls_decode_reject then t.ref_decode <- t.ref_decode + 1
+      if t.expect.(j) then t.chk.Outcome.missing <- t.chk.Outcome.missing + 1
+      else if cls = cls_decode_reject then t.ref_decode <- t.ref_decode + 1
       else if cls = cls_verify_reject then t.ref_verify <- t.ref_verify + 1
-      else if cls = cls_step then t.ref_step_rejects <- t.ref_step_rejects + 1
-      else t.chk.Outcome.missing <- t.chk.Outcome.missing + 1
+      else t.ref_step_rejects <- t.ref_step_rejects + 1
     end;
     t.replied.(j) <- false
   done
@@ -143,14 +151,31 @@ let ingest t =
   t.win_n <- n;
   n
 
-(* One window: tick the clock and poll the wheel, ingest, process,
-   settle, release.  Returns the packets it carried. *)
+(* The reference's verdict on each packet of the window, after the
+   timers due at the window's tick have fired. *)
+let expect_window t n =
+  let now = !(t.clock) in
+  Ref_flows.tick t.model ~now;
+  let s = t.stream in
+  for j = 0 to n - 1 do
+    let p = t.win_pos.(j) in
+    let cls = s.cls p in
+    t.expect.(j) <-
+      cls = cls_pass
+      || (cls = cls_step && Ref_flows.packet t.model (s.key p) (s.event p) ~now)
+  done
+
+(* One window: tick the clock, ingest, take the reference's verdicts,
+   poll the wheel, process, settle, release.  The residence time runs
+   from the poll to the end of processing.  Returns the packets it
+   carried. *)
 let window t =
   let p = pipeline t in
-  let t0 = now () in
   incr t.clock;
-  ignore (Pipeline.poll_timers p);
   let n = ingest t in
+  expect_window t n;
+  let t0 = now () in
+  ignore (Pipeline.poll_timers p);
   Pipeline.process_slab_batch p t.slab ~n;
   if t.record_rtt then Hist.add_n t.hist (now () - t0) n;
   settle t n;
@@ -165,22 +190,24 @@ let window_traced t tr sp =
   let t0 = now () in
   let w = Spans.open_ tr sp.sp_window ~parent:(-1) ~req ~start:t0 in
   incr t.clock;
-  ignore (Pipeline.poll_timers p);
-  let t1 = now () in
-  Spans.span tr sp.sp_poll ~parent:w ~req ~start:t0 ~stop:t1;
   let n = ingest t in
+  let t1 = now () in
+  Spans.span tr sp.sp_ingest ~parent:w ~req ~start:t0 ~stop:t1;
+  expect_window t n;
   let t2 = now () in
-  Spans.span tr sp.sp_ingest ~parent:w ~req ~start:t1 ~stop:t2;
-  Pipeline.process_slab_batch p t.slab ~n;
+  ignore (Pipeline.poll_timers p);
   let t3 = now () in
-  Spans.span tr sp.sp_process ~parent:w ~req ~start:t2 ~stop:t3;
-  if t.record_rtt then Hist.add_n t.hist (t3 - t0) n;
-  settle t n;
+  Spans.span tr sp.sp_poll ~parent:w ~req ~start:t2 ~stop:t3;
+  Pipeline.process_slab_batch p t.slab ~n;
   let t4 = now () in
-  Slab.release t.slab;
+  Spans.span tr sp.sp_process ~parent:w ~req ~start:t3 ~stop:t4;
+  if t.record_rtt then Hist.add_n t.hist (t4 - t2) n;
+  settle t n;
   let t5 = now () in
-  Spans.span tr sp.sp_release ~parent:w ~req ~start:t4 ~stop:t5;
-  Spans.close tr sp.sp_window w ~start:t0 ~stop:t5;
+  Slab.release t.slab;
+  let t6 = now () in
+  Spans.span tr sp.sp_release ~parent:w ~req ~start:t5 ~stop:t6;
+  Spans.close tr sp.sp_window w ~start:t0 ~stop:t6;
   t.windows <- t.windows + 1;
   n
 
@@ -198,7 +225,7 @@ let sent t = t.pos
    packets sent = replies + decode rejects + verify rejects + step
    rejects, each stage's count equal to the reference's.  Timer-driven
    step outcomes (expiries, and expiries the machine refused) are
-   counted apart. *)
+   counted apart, and they and the evictions must equal the model's. *)
 type balance = {
   accepted : int;
   rejects_decode : int;
@@ -222,8 +249,13 @@ let balance t =
   let refused = step_pkts - t.ref_step_pkts - expired in
   let c = t.chk in
   let answered = c.Outcome.replies + c.Outcome.wrong + c.Outcome.unexpected in
+  let model = t.model in
+  let evicted = Engine.Stats.evicted_flows st in
   let balanced =
-    dec = t.ref_decode && ver = t.ref_verify && refused >= 0
+    dec = t.ref_decode && ver = t.ref_verify
+    && expired = model.Ref_flows.expired
+    && refused = model.Ref_flows.refused
+    && evicted = model.Ref_flows.evicted
     && step = t.ref_step_rejects + refused
     && replies_emitted = answered + c.Outcome.stray
     && sent t = answered + c.Outcome.missing + dec + ver + t.ref_step_rejects
@@ -236,7 +268,7 @@ let balance t =
     timer_expired = expired;
     timer_refused = refused;
     timer_cascaded = Engine.Stats.timers_cascaded st;
-    evicted = Engine.Stats.evicted_flows st;
+    evicted;
     balanced;
   }
 

@@ -18,7 +18,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXE = os.path.join(ROOT, "_build", "default", "perfbench", "bench.exe")
 BUILD_TIMEOUT_S = 850
-RUN_TIMEOUT_S = 170
+# beyond the measured --seconds: input generation, self-test, set-ups and,
+# on a traced run, the count pass and the stage replays
+RUN_MARGIN_S = 120
 
 
 def run_child(cmd, timeout, **kw):
@@ -30,6 +32,17 @@ def run_child(cmd, timeout, **kw):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+def run_seconds(argv):
+    """The run length bench.exe will take from argv (its default is 10 s)."""
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--seconds":
+            try:
+                return max(0.0, float(value))
+            except ValueError:
+                break  # bench.exe rejects it
+    return 10.0
 
 
 def stop(signum, _frame):
@@ -52,10 +65,11 @@ def main():
     if build != 0:
         print("perfbench: build failed", file=sys.stderr)
         return 2
+    timeout = run_seconds(sys.argv[1:]) + RUN_MARGIN_S
     try:
-        return run_child([EXE] + sys.argv[1:], RUN_TIMEOUT_S)
+        return run_child([EXE] + sys.argv[1:], timeout)
     except subprocess.TimeoutExpired:
-        print("perfbench: run exceeded %d s" % RUN_TIMEOUT_S, file=sys.stderr)
+        print("perfbench: run exceeded %d s" % timeout, file=sys.stderr)
         return 2
 
 

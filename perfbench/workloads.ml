@@ -98,6 +98,10 @@ let arq_stream pool =
         Bytes.blit b 0 buf 0 n;
         n);
     cls = (fun _ -> Engine_run.cls_step);
+    key = (fun p -> Bytes.get_uint8 pool.(p) 0);
+    event = (fun _ -> 0);
+    n_keys = 256;
+    machine = Ref_flows.receiver;
     reply_ok = Wire.arq_reply_ok;
   }
 
@@ -162,6 +166,32 @@ let churn_stream ~seed fmt =
           else Engine_run.cls_pass)
       mutants
   in
+  (* flows are keyed by the 32-bit source: 10.0.x.y is key id x.y, and
+     every other source a mutant carries gets an id of its own past them *)
+  let foreign = Hashtbl.create 64 in
+  let key_id source =
+    if source lsr 16 = 0x0A00 then source land 0xFFFF
+    else
+      match Hashtbl.find_opt foreign source with
+      | Some k -> k
+      | None ->
+        let k = n_sources + Hashtbl.length foreign in
+        Hashtbl.add foreign source k;
+        k
+  in
+  let event_of proto = if proto = proto_send then 0 else 1 in
+  let mutant_key =
+    Array.mapi
+      (fun i m ->
+        if mutant_cls.(i) <> Engine_run.cls_step then -1
+        else key_id (Int32.to_int (String.get_int32_be m 12) land 0xFFFF_FFFF))
+      mutants
+  in
+  let mutant_event =
+    Array.mapi
+      (fun i m -> if mutant_cls.(i) <> Engine_run.cls_step then -1 else event_of (Char.code m.[9]))
+      mutants
+  in
   (* the exchange schedule *)
   let entries = Array.make churn_length (-1) in
   let is_mutant p = p land 3 = 3 in
@@ -222,5 +252,17 @@ let churn_stream ~seed fmt =
     Engine_run.length = churn_length;
     fill;
     cls = (fun p -> Char.code (Bytes.unsafe_get cls p));
+    key =
+      (fun p ->
+        let e = entries.(p) in
+        let m = (e lsr 43) - 1 in
+        if m >= 0 then mutant_key.(m) else e land 0xFFFF);
+    event =
+      (fun p ->
+        let e = entries.(p) in
+        let m = (e lsr 43) - 1 in
+        if m >= 0 then mutant_event.(m) else event_of ((e lsr 24) land 0xFF));
+    n_keys = n_sources + Hashtbl.length foreign;
+    machine = Ref_flows.swt_sender;
     reply_ok = Wire.ipv4_reply_ok;
   }
